@@ -11,7 +11,7 @@ use smpx_bench::runners;
 
 fn main() {
     // SMPX_METRICS=<path|-> turns on the process-wide registry; the
-    // Delivery tables then populate their Stall/Steal columns and the
+    // Delivery tables then populate their Steal column and the
     // snapshot is dumped on exit.
     let metrics = smpx_core::obs::init_from_env();
     let mut sink = JsonSink::from_args();
@@ -36,7 +36,6 @@ fn main() {
                 ("table", Value::S(table.into())),
                 ("id", Value::S(r.id.clone())),
                 ("source", Value::S(r.source.clone())),
-                ("prefetch", Value::B(r.prefetch)),
                 ("threads", Value::U(r.threads as u64)),
                 ("shards", Value::U(r.stats.shards)),
                 ("queries", Value::U(r.queries as u64)),
@@ -49,7 +48,6 @@ fn main() {
                 ("jump_pct", Value::F(r.stats.initial_jumps_pct())),
                 ("char_pct", Value::F(r.stats.char_comp_pct())),
                 ("scan_pct", Value::F(r.stats.scanned_pct())),
-                ("stall_secs", r.stall_s.map_or(Value::Null, Value::F)),
                 ("steals", r.steals.map_or(Value::Null, Value::U)),
             ]);
         }

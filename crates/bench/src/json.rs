@@ -7,6 +7,7 @@
 //! one object per line; strings are escaped, floats are emitted with
 //! three decimals, and absent values are `null`.
 
+use smpx_core::obs::escape_json;
 use std::io::Write as _;
 
 /// One JSON value in a record.
@@ -24,14 +25,10 @@ pub enum Value {
     Null,
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 impl Value {
     fn render(&self) -> String {
         match self {
-            Value::S(s) => format!("\"{}\"", escape(s)),
+            Value::S(s) => format!("\"{}\"", escape_json(s)),
             Value::U(n) => n.to_string(),
             Value::F(f) if f.is_finite() => format!("{f:.3}"),
             Value::F(_) => "null".to_string(),
@@ -82,7 +79,7 @@ impl JsonSink {
             return;
         }
         let body: Vec<String> =
-            fields.iter().map(|(k, v)| format!("\"{}\":{}", escape(k), v.render())).collect();
+            fields.iter().map(|(k, v)| format!("\"{}\":{}", escape_json(k), v.render())).collect();
         self.lines.push(format!("{{{}}}", body.join(",")));
     }
 

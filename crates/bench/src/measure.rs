@@ -97,7 +97,7 @@ pub fn env_mb(var: &str, default_mb: usize) -> usize {
 
 /// Which `DocSource` backend the table runners deliver documents through,
 /// selected by the `SMPX_SOURCE` environment variable (`slice` default,
-/// `mmap`, `reader`, `prefetch`) so the same experiment binaries can
+/// `mmap`, `reader`) so the same experiment binaries can
 /// measure every backend — the nightly paper-scale CI job runs them over
 /// `mmap`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +108,6 @@ pub enum SourceMode {
     Mmap,
     /// Chunked streaming read of a temp file.
     Reader,
-    /// Chunked streaming read prefetched by the `smpx-io` thread.
-    Prefetch,
 }
 
 impl SourceMode {
@@ -120,7 +118,6 @@ impl SourceMode {
             "" | "slice" => Ok(SourceMode::Slice),
             "mmap" => Ok(SourceMode::Mmap),
             "reader" => Ok(SourceMode::Reader),
-            "prefetch" => Ok(SourceMode::Prefetch),
             _ => Err(()),
         }
     }
@@ -136,7 +133,7 @@ impl SourceMode {
                 WARN.call_once(|| {
                     eprintln!(
                         "smpx: warning: SMPX_SOURCE={v:?} is not one of \
-                         slice|mmap|reader|prefetch; using slice"
+                         slice|mmap|reader; using slice"
                     );
                 });
                 SourceMode::Slice
@@ -228,7 +225,7 @@ mod tests {
         assert_eq!(SourceMode::parse(""), Ok(SourceMode::Slice));
         assert_eq!(SourceMode::parse("mmap"), Ok(SourceMode::Mmap));
         assert_eq!(SourceMode::parse("reader"), Ok(SourceMode::Reader));
-        assert_eq!(SourceMode::parse(" prefetch "), Ok(SourceMode::Prefetch));
+        assert_eq!(SourceMode::parse(" reader "), Ok(SourceMode::Reader));
     }
 
     #[test]

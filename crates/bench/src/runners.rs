@@ -14,9 +14,8 @@ use crate::queries::{
     XMARK_QUERIES,
 };
 use smpx_baselines::{sax, TokenProjector};
-use smpx_core::runtime::source::{
-    MmapSource, PrefetchSource, ReaderSource, SliceSource, SourceKind,
-};
+use smpx_core::obs::{self, CounterId};
+use smpx_core::runtime::source::{MmapSource, ReaderSource, SliceSource, SourceKind};
 use smpx_core::{MultiPrefilter, MultiVerdict, Prefilter, RunStats};
 use smpx_datagen::{medline, xmark, GenOptions};
 use smpx_dtd::Dtd;
@@ -63,9 +62,7 @@ impl<'a> Delivery<'a> {
         let mode = SourceMode::from_env();
         let file = match mode {
             SourceMode::Slice => None,
-            SourceMode::Mmap | SourceMode::Reader | SourceMode::Prefetch => {
-                Some(TempDocFile::new(tag, doc))
-            }
+            SourceMode::Mmap | SourceMode::Reader => Some(TempDocFile::new(tag, doc)),
         };
         Delivery {
             doc,
@@ -90,17 +87,7 @@ impl<'a> Delivery<'a> {
             SourceMode::Slice => SourceKind::Slice.as_str().to_string(),
             SourceMode::Mmap => SourceKind::Mmap.as_str().to_string(),
             SourceMode::Reader => format!("{}/{}KiB", SourceKind::Reader, self.chunk / 1024),
-            SourceMode::Prefetch => {
-                format!("{}/{}KiB", SourceKind::Prefetch, self.chunk / 1024)
-            }
         }
-    }
-
-    /// Is this the double-buffered prefetching delivery? Rows carry it as
-    /// the `Pf` column / `prefetch` JSON field so sync-vs-overlapped runs
-    /// stay distinguishable even when labels get truncated.
-    pub fn prefetch(&self) -> bool {
-        self.mode == SourceMode::Prefetch
     }
 
     /// The `SMPX_THREADS`-selected pool width (1 = sequential executor).
@@ -164,12 +151,23 @@ impl<'a> Delivery<'a> {
                 let stats = pf.filter_source(src, &mut out).expect("filter");
                 (out, stats)
             }
-            SourceMode::Prefetch => {
-                let path = self.file.as_ref().expect("prefetch delivery has a file").path();
-                let src = PrefetchSource::open(path, self.chunk).expect("open bench doc");
-                let mut out = Vec::new();
-                let stats = pf.filter_source(src, &mut out).expect("filter");
-                (out, stats)
+        }
+    }
+
+    /// Open the document through the selected backend, boxed for the
+    /// pooled, sharded and multi-query entry points (the sequential path
+    /// keeps its static dispatch in `filter_sequential`).
+    fn open(&self) -> Box<dyn smpx_core::DocSource + Send + '_> {
+        match self.mode {
+            SourceMode::Slice => Box::new(SliceSource::new(self.doc)),
+            SourceMode::Mmap => {
+                let path = self.file.as_ref().expect("mmap delivery has a file").path();
+                Box::new(MmapSource::open(path).expect("map bench doc"))
+            }
+            SourceMode::Reader => {
+                let path = self.file.as_ref().expect("reader delivery has a file").path();
+                let file = std::fs::File::open(path).expect("open bench doc");
+                Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk))
             }
         }
     }
@@ -199,60 +197,26 @@ impl<'a> Delivery<'a> {
         let auto_shard = smpx_core::runtime::parallel::auto_shard_threshold()
             .is_some_and(|thr| self.doc.len() as u64 >= thr);
         if auto_shard {
-            let src: Box<dyn smpx_core::DocSource + Send> = match self.mode {
-                SourceMode::Slice => Box::new(SliceSource::new(self.doc)),
-                SourceMode::Mmap => {
-                    let path = self.file.as_ref().expect("mmap delivery has a file").path();
-                    Box::new(MmapSource::open(path).expect("map bench doc"))
-                }
-                SourceMode::Reader => {
-                    let path = self.file.as_ref().expect("reader delivery has a file").path();
-                    let file = std::fs::File::open(path).expect("open bench doc");
-                    Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk))
-                }
-                SourceMode::Prefetch => {
-                    let path = self.file.as_ref().expect("prefetch delivery has a file").path();
-                    Box::new(PrefetchSource::open(path, self.chunk).expect("open bench doc"))
-                }
-            };
             self.pooled_mem.set(None);
             let (out, stats) =
-                pf.run_sharded(src, Vec::new(), self.threads, 0).expect("sharded filter");
+                pf.run_sharded(self.open(), Vec::new(), self.threads, 0).expect("sharded filter");
             return (out, stats);
         }
         let frozen = pf.freeze();
         let peak_mem = AtomicUsize::new(0);
-        let run = |src: Box<dyn smpx_core::DocSource + Send>| {
-            smpx_core::Pool::new(self.threads)
-                .run(
-                    vec![src],
-                    |_| frozen.worker(),
-                    |wpf, src| -> Result<_, smpx_core::CoreError> {
-                        let mut out = Vec::new();
-                        let stats = wpf.filter_source(src, &mut out)?;
-                        peak_mem.fetch_max(wpf.memory_bytes(), Ordering::Relaxed);
-                        Ok((out, stats))
-                    },
-                )
-                .map_err(|(_, e)| e)
-        };
-        let mut results = match self.mode {
-            SourceMode::Slice => run(Box::new(SliceSource::new(self.doc))),
-            SourceMode::Mmap => {
-                let path = self.file.as_ref().expect("mmap delivery has a file").path();
-                run(Box::new(MmapSource::open(path).expect("map bench doc")))
-            }
-            SourceMode::Reader => {
-                let path = self.file.as_ref().expect("reader delivery has a file").path();
-                let file = std::fs::File::open(path).expect("open bench doc");
-                run(Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk)))
-            }
-            SourceMode::Prefetch => {
-                let path = self.file.as_ref().expect("prefetch delivery has a file").path();
-                run(Box::new(PrefetchSource::open(path, self.chunk).expect("open bench doc")))
-            }
-        }
-        .expect("pooled filter");
+        let mut results = smpx_core::Pool::new(self.threads)
+            .run(
+                vec![self.open()],
+                |_| frozen.worker(),
+                |wpf, src| -> Result<_, smpx_core::CoreError> {
+                    let mut out = Vec::new();
+                    let stats = wpf.filter_source(src, &mut out)?;
+                    peak_mem.fetch_max(wpf.memory_bytes(), Ordering::Relaxed);
+                    Ok((out, stats))
+                },
+            )
+            .map_err(|(_, e)| e)
+            .expect("pooled filter");
         self.pooled_mem.set(Some(peak_mem.load(Ordering::Relaxed)));
         results.pop().expect("one document in, one result out")
     }
@@ -262,31 +226,13 @@ impl<'a> Delivery<'a> {
     /// The benches' one-pass side of the one-pass-vs-N-passes comparison.
     pub fn filter_multi(&self, mpf: &mut MultiPrefilter) -> (Vec<u8>, MultiVerdict, RunStats) {
         self.pooled_mem.set(None);
-        let open = || -> Box<dyn smpx_core::DocSource + Send + '_> {
-            match self.mode {
-                SourceMode::Slice => Box::new(SliceSource::new(self.doc)),
-                SourceMode::Mmap => {
-                    let path = self.file.as_ref().expect("mmap delivery has a file").path();
-                    Box::new(MmapSource::open(path).expect("map bench doc"))
-                }
-                SourceMode::Reader => {
-                    let path = self.file.as_ref().expect("reader delivery has a file").path();
-                    let file = std::fs::File::open(path).expect("open bench doc");
-                    Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk))
-                }
-                SourceMode::Prefetch => {
-                    let path = self.file.as_ref().expect("prefetch delivery has a file").path();
-                    Box::new(PrefetchSource::open(path, self.chunk).expect("open bench doc"))
-                }
-            }
-        };
         let (out, verdict, mut stats) = if self.threads > 1 {
-            mpf.run_batch_parallel(vec![(open(), Vec::new())], self.threads)
+            mpf.run_batch_parallel(vec![(self.open(), Vec::new())], self.threads)
                 .expect("pooled multi filter")
                 .pop()
                 .expect("one document in, one result out")
         } else {
-            mpf.run_multi(open(), Vec::new()).expect("multi filter")
+            mpf.run_multi(self.open(), Vec::new()).expect("multi filter")
         };
         if stats.input_bytes == 0 {
             stats.input_bytes = self.doc.len() as u64;
@@ -304,32 +250,14 @@ impl<'a> Delivery<'a> {
         shared: &smpx_core::SharedPrefilter,
     ) -> (Vec<u8>, MultiVerdict, RunStats) {
         self.pooled_mem.set(None);
-        let open = || -> Box<dyn smpx_core::DocSource + Send + '_> {
-            match self.mode {
-                SourceMode::Slice => Box::new(SliceSource::new(self.doc)),
-                SourceMode::Mmap => {
-                    let path = self.file.as_ref().expect("mmap delivery has a file").path();
-                    Box::new(MmapSource::open(path).expect("map bench doc"))
-                }
-                SourceMode::Reader => {
-                    let path = self.file.as_ref().expect("reader delivery has a file").path();
-                    let file = std::fs::File::open(path).expect("open bench doc");
-                    Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk))
-                }
-                SourceMode::Prefetch => {
-                    let path = self.file.as_ref().expect("prefetch delivery has a file").path();
-                    Box::new(PrefetchSource::open(path, self.chunk).expect("open bench doc"))
-                }
-            }
-        };
         let (out, verdict, mut stats) = if self.threads > 1 {
             shared
-                .run_multi_batch_parallel(vec![(open(), Vec::new())], self.threads)
+                .run_multi_batch_parallel(vec![(self.open(), Vec::new())], self.threads)
                 .expect("pooled shared filter")
                 .pop()
                 .expect("one document in, one result out")
         } else {
-            shared.generation().run_multi(open(), Vec::new()).expect("shared filter")
+            shared.generation().run_multi(self.open(), Vec::new()).expect("shared filter")
         };
         if stats.input_bytes == 0 {
             stats.input_bytes = self.doc.len() as u64;
@@ -358,31 +286,10 @@ pub struct SmpRow {
     /// many standing queries the row's one pass answered (1 = classic
     /// single-query automaton).
     pub queries: usize,
-    /// Whether the delivery was the double-buffered prefetching reader
-    /// (`Delivery::prefetch`).
-    pub prefetch: bool,
-    /// Prefetch stall seconds (producer stall + consumer wait) this row's
-    /// run added to the process counters; `None` when observability is
-    /// off (`SMPX_METRICS` unset) — the table prints `-`.
-    pub stall_s: Option<f64>,
     /// Pool steals this row's run added to the process counters; `None`
-    /// when observability is off.
+    /// when observability is off (`SMPX_METRICS` unset) — the table
+    /// prints `-`.
     pub steals: Option<u64>,
-}
-
-/// Counter deltas around one timed run, read from the process-wide
-/// registry — only when observability is on, so the default bench path
-/// stays untouched.
-fn obs_marks() -> Option<(u64, u64)> {
-    use smpx_core::obs::{self, CounterId};
-    obs::enabled().then(|| {
-        let g = obs::global();
-        (
-            g.counter(CounterId::PoolSteals),
-            g.counter(CounterId::PrefetchProducerStallNanos)
-                + g.counter(CounterId::PrefetchConsumerWaitNanos),
-        )
-    })
 }
 
 /// Run SMP once over a delivered document for `paths`, collecting a
@@ -399,14 +306,11 @@ pub fn smp_row(id: &str, dtd: &Dtd, paths: &PathSet, doc: &Delivery<'_>) -> SmpR
     } else {
         Prefilter::compile(dtd, paths).expect("compile")
     };
-    let marks = obs_marks();
+    // Read the steal counter only when observability is on, so the
+    // default bench path stays untouched.
+    let steals0 = obs::enabled().then(|| obs::global().counter(CounterId::PoolSteals));
     let ((out, stats), timed) = time(|| doc.filter(&mut pf));
-    let (stall_s, steals) = match (marks, obs_marks()) {
-        (Some((s0, n0)), Some((s1, n1))) => {
-            (Some(n1.saturating_sub(n0) as f64 / 1e9), Some(s1.saturating_sub(s0)))
-        }
-        _ => (None, None),
-    };
+    let steals = steals0.map(|s0| obs::global().counter(CounterId::PoolSteals).saturating_sub(s0));
     SmpRow {
         id: id.to_string(),
         proj_size: out.len() as u64,
@@ -425,15 +329,13 @@ pub fn smp_row(id: &str, dtd: &Dtd, paths: &PathSet, doc: &Delivery<'_>) -> SmpR
         source: doc.label(),
         threads: doc.threads(),
         queries,
-        prefetch: doc.prefetch(),
-        stall_s,
         steals,
     }
 }
 
 fn print_smp_header() {
     println!(
-        "{:<6} {:>10} {:>9} {:>9} {:>9} {:>14} {:>8}({:>6}) {:>8}({:>6}) {:>8}({:>6}) {:>7} {:>13} {:>4} {:>4} {:>3} {:>8} {:>5}",
+        "{:<6} {:>10} {:>9} {:>9} {:>9} {:>14} {:>8}({:>6}) {:>8}({:>6}) {:>8}({:>6}) {:>7} {:>13} {:>4} {:>4} {:>5}",
         "query",
         "Proj.Size",
         "Mem",
@@ -450,8 +352,6 @@ fn print_smp_header() {
         "Source",
         "Thr",
         "Qrys",
-        "Pf",
-        "Stall[s]",
         "Steal",
     );
 }
@@ -460,7 +360,7 @@ fn print_smp_row(r: &SmpRow, paper: Option<&(&str, f64, f64, f64)>) {
     let (p_shift, p_jump, p_char) =
         paper.map_or((f64::NAN, f64::NAN, f64::NAN), |p| (p.1, p.2, p.3));
     println!(
-        "{:<6} {:>10} {:>9} {:>9.3} {:>9.3} {:>7} ({:>2}+{:>3}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>7.2} {:>13} {:>4} {:>4} {:>3} {:>8} {:>5}",
+        "{:<6} {:>10} {:>9} {:>9.3} {:>9.3} {:>7} ({:>2}+{:>3}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>7.2} {:>13} {:>4} {:>4} {:>5}",
         r.id,
         fmt_mb(r.proj_size),
         fmt_mb(r.mem_bytes as u64),
@@ -479,8 +379,6 @@ fn print_smp_row(r: &SmpRow, paper: Option<&(&str, f64, f64, f64)>) {
         r.source,
         r.threads,
         r.queries,
-        if r.prefetch { "yes" } else { "no" },
-        r.stall_s.map_or_else(|| "-".to_string(), |s| format!("{s:.3}")),
         r.steals.map_or_else(|| "-".to_string(), |n| n.to_string()),
     );
 }

@@ -35,10 +35,10 @@
 //! assert!(stats.chars_compared < doc.len() as u64);
 //! ```
 
-// `unsafe` is denied crate-wide and allowed back in exactly two places:
-// the `extern "C"` mmap shim in `runtime::source::mmap` and the `readv`
-// shim in `runtime::source::prefetch`, each call with its bounds argument
-// spelled out (same policy as `smpx_stringmatch::memscan`).
+// `unsafe` is denied crate-wide and allowed back in exactly one place:
+// the `extern "C"` mmap shim in `runtime::source::mmap`, each call with
+// its bounds argument spelled out (same policy as
+// `smpx_stringmatch::memscan`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -57,8 +57,6 @@ pub use idset::{QueryId, QueryIdSet};
 pub use lifecycle::{Generation, SharedPrefilter};
 pub use registry::{MultiPrefilter, QueryRegistry};
 pub use runtime::parallel::{BatchError, FrozenPrefilter, Pool, DEFAULT_AUTO_SHARD_BYTES};
-pub use runtime::source::{
-    DocSource, MmapSource, PrefetchSource, ReaderSource, SliceSource, SourceKind,
-};
+pub use runtime::source::{DocSource, MmapSource, ReaderSource, SliceSource, SourceKind};
 pub use runtime::Prefilter;
 pub use stats::{MultiVerdict, RunStats};

@@ -10,7 +10,10 @@ use super::registry::Unit;
 use super::snapshot::{HistSample, Sample, Snapshot};
 use std::fmt::Write;
 
-fn esc(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal: `"` and `\`
+/// backslash-escaped, newline as `\n`, every other control character
+/// below U+0020 as `\u00XX`.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -47,7 +50,7 @@ fn scalar_line(s: &Sample, kind: &str) -> String {
         s.def.name,
         kind,
         unit_name(s.def.unit),
-        esc(s.def.help),
+        escape_json(s.def.help),
         value_json(s.def.unit, s.value)
     )
 }
@@ -73,7 +76,7 @@ fn hist_line(h: &HistSample) -> String {
          \"count\":{},\"sum\":{},\"buckets\":{}}}",
         h.def.name,
         unit_name(h.def.unit),
-        esc(h.def.help),
+        escape_json(h.def.help),
         h.count(),
         value_json(h.def.unit, h.sum),
         buckets

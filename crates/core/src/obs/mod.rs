@@ -36,6 +36,7 @@ mod snapshot;
 mod timer;
 
 pub use env::{emit, init_from_env, metrics_target_from_env, parse_metrics_value, MetricsTarget};
+pub use json::escape_json;
 pub use registry::{
     CounterId, GaugeId, HistId, MetricsRegistry, SeriesDef, ShardedU64, Unit, ALL_COUNTERS,
     ALL_GAUGES, ALL_HISTS,

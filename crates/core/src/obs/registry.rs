@@ -231,18 +231,9 @@ define_counters! {
         "Work-available wake broadcasts after a local requeue or steal.";
     PoolBusyNanos => "smpx_pool_busy_seconds_total", Nanos,
         "Wall-clock time pool workers spent executing tasks.";
-    // -- prefetching reader --------------------------------------------
-    PrefetchChunks => "smpx_prefetch_chunks_total", Count,
-        "Prefetched blocks handed from the smpx-io thread to a consumer.";
-    PrefetchBytes => "smpx_prefetch_bytes_total", Bytes,
-        "Bytes delivered through prefetched blocks.";
-    PrefetchProducerStallNanos => "smpx_prefetch_producer_stall_seconds_total", Nanos,
-        "Time the smpx-io thread parked waiting for a free buffer.";
-    PrefetchConsumerWaitNanos => "smpx_prefetch_consumer_wait_seconds_total", Nanos,
-        "Time consumers parked waiting for a prefetched block.";
-    // -- other document sources ----------------------------------------
+    // -- document sources ----------------------------------------------
     SourceReadBytes => "smpx_source_read_bytes_total", Bytes,
-        "Bytes delivered by the synchronous chunked reader.";
+        "Bytes delivered by the chunked streaming reader.";
     SourceMmapBytes => "smpx_source_mmap_bytes_total", Bytes,
         "Bytes delivered by memory-mapped (or slurped) file sources.";
     // -- dynamic query lifecycle ---------------------------------------

@@ -2,16 +2,13 @@
 //!
 //! PR 2–3 made the scan path vector-fast; this module makes the *delivery*
 //! of bytes pluggable so multi-GB corpora do not pay a memcpy before the
-//! skip-scan ever runs. Four backends implement one trait:
+//! skip-scan ever runs. Three backends implement one trait:
 //!
 //! * [`SliceSource`] — a borrowed `&[u8]` already in memory (zero-copy),
 //! * [`MmapSource`] — a file mapped with `mmap`/`madvise(SEQUENTIAL)` on
 //!   64-bit unix (zero-copy; a read-to-`Vec` fallback elsewhere),
 //! * [`ReaderSource`] — the paper's chunked window over any `io::Read`
-//!   (one bounded copy; works on pipes),
-//! * [`PrefetchSource`] — the same window with refills prefetched by a
-//!   dedicated `smpx-io` thread (double-buffered handoff; I/O latency
-//!   hides behind scan time).
+//!   (one bounded copy; works on pipes).
 //!
 //! The runtime algorithm itself is written once against the private
 //! [`SourceInput`] adapter, which pairs a [`DocSource`] with an output
@@ -36,12 +33,10 @@
 //!   EOF.
 
 mod mmap;
-mod prefetch;
 mod reader;
 mod slice;
 
 pub use mmap::MmapSource;
-pub use prefetch::PrefetchSource;
 pub use reader::ReaderSource;
 pub use slice::SliceSource;
 
@@ -60,20 +55,15 @@ pub enum SourceKind {
     Mmap,
     /// Chunked streaming window over an `io::Read`.
     Reader,
-    /// Chunked streaming window with refills prefetched by the `smpx-io`
-    /// thread.
-    Prefetch,
 }
 
 impl SourceKind {
-    /// Stable lower-case tag (`"slice"` / `"mmap"` / `"reader"` /
-    /// `"prefetch"`).
+    /// Stable lower-case tag (`"slice"` / `"mmap"` / `"reader"`).
     pub fn as_str(self) -> &'static str {
         match self {
             SourceKind::Slice => "slice",
             SourceKind::Mmap => "mmap",
             SourceKind::Reader => "reader",
-            SourceKind::Prefetch => "prefetch",
         }
     }
 }
@@ -484,6 +474,5 @@ mod tests {
         assert_eq!(SourceKind::Slice.to_string(), "slice");
         assert_eq!(SourceKind::Mmap.as_str(), "mmap");
         assert_eq!(SourceKind::Reader.as_str(), "reader");
-        assert_eq!(SourceKind::Prefetch.as_str(), "prefetch");
     }
 }

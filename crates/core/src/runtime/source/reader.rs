@@ -81,10 +81,9 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, CoreError> {
 
 /// Fill `buf` from `r`, looping over short reads; short only at EOF.
 /// `ErrorKind::Interrupted` (EINTR — a signal landed mid-read) is retried,
-/// never surfaced: both the sync refill here and the `smpx-io` prefetch
-/// thread route every read through this one function so neither path can
-/// regress to treating EINTR as a hard error.
-pub(super) fn read_full_io<R: Read>(r: &mut R, mut buf: &mut [u8]) -> std::io::Result<usize> {
+/// never surfaced: every refill routes its read through this one function
+/// so no path can regress to treating EINTR as a hard error.
+fn read_full_io<R: Read>(r: &mut R, mut buf: &mut [u8]) -> std::io::Result<usize> {
     let mut total = 0;
     while !buf.is_empty() {
         match r.read(buf) {
@@ -210,13 +209,48 @@ mod tests {
 
     #[test]
     fn eintr_is_retried_by_read_full_io() {
-        // The shared fill loop (also used by the prefetch I/O thread)
-        // must absorb any number of interleaved EINTRs.
+        // The fill loop must absorb any number of interleaved EINTRs.
         let doc = b"0123456789";
         let mut r = Interrupting { inner: &doc[..], interrupt_next: true };
         let mut buf = [0u8; 10];
         assert_eq!(read_full_io(&mut r, &mut buf).unwrap(), 10);
         assert_eq!(&buf, doc);
+    }
+
+    /// A reader that yields a prefix of spaces, then fails with a fixed
+    /// message.
+    struct FailAfter {
+        left: usize,
+    }
+
+    impl Read for FailAfter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Err(std::io::Error::other("injected mid-stream failure"));
+            }
+            let n = self.left.min(buf.len());
+            buf[..n].fill(b' ');
+            self.left -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn mid_stream_error_surfaces_after_prefix() {
+        let mut s = ReaderSource::new(FailAfter { left: 96 }, 32);
+        let mut pos = 0;
+        let err = loop {
+            match s.ensure(pos) {
+                Ok(more) => {
+                    assert!(more, "the stream fails before it ends");
+                    pos += 1;
+                }
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(pos, 96, "every byte before the failure is delivered");
+        assert!(matches!(err, CoreError::Io(_)), "error kind: {err}");
+        assert_eq!(err.to_string(), "I/O error: injected mid-stream failure");
     }
 
     #[test]

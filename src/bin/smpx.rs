@@ -3,8 +3,8 @@
 //! ```text
 //! USAGE:
 //!   smpx --dtd SCHEMA.dtd (--paths P1,P2,… | --query XPATH [--query XPATH ...])
-//!        [INPUT.xml | - ...] [-o OUT.xml] [--mmap] [--prefetch] [--chunk-kb N]
-//!        [--threads N] [--shard-mb N] [--add-query XPATH] [--remove-query ID]
+//!        [INPUT.xml | - ...] [-o OUT.xml] [--mmap] [--chunk-kb N] [--threads N]
+//!        [--shard-mb N] [--add-query XPATH] [--remove-query ID]
 //!        [--stats] [--stats-json PATH|-] [--metrics PATH|-]
 //!
 //! EXAMPLES:
@@ -32,18 +32,6 @@
 //! backend, even under `--mmap`. Several inputs are prefiltered as one
 //! batch through a single compiled automaton; their projected outputs are
 //! concatenated in argument order.
-//!
-//! Streamed deliveries *prefetch* by default where it pays: stdin/`-`
-//! always routes through the double-buffered `PrefetchSource` (a
-//! dedicated `smpx-io` thread reads the next chunk while the automaton
-//! scans the current one), and non-mmap file inputs of at least 1 MiB
-//! do too (vectored `readv` refills on 64-bit unix). `--prefetch` forces
-//! the prefetching reader for file inputs below the threshold;
-//! `SMPX_PREFETCH=0` is the kill switch that forces every delivery back
-//! to the synchronous reader (output is byte-identical either way). In
-//! pooled batches each worker opens its own source, so at most
-//! `--threads` prefetch threads (and fds) exist at any time — the I/O
-//! thread budget is bounded by the pool width.
 //!
 //! `--threads N` runs the batch through the work-stealing pool
 //! (`smpx_core::runtime::parallel`) with `N` workers sharing the one
@@ -91,9 +79,7 @@
 
 use smpx::bench::json::{JsonSink, Value};
 use smpx::core::obs::{self, MetricsTarget};
-use smpx::core::runtime::source::{
-    DocSource, MmapSource, PrefetchSource, ReaderSource, SourceKind,
-};
+use smpx::core::runtime::source::{DocSource, MmapSource, ReaderSource, SourceKind};
 use smpx::core::runtime::DEFAULT_CHUNK;
 use smpx::core::{
     CoreError, MultiVerdict, Pool, Prefilter, QueryId, QueryRegistry, RunStats, SharedPrefilter,
@@ -113,10 +99,6 @@ struct Args {
     output: Option<String>,
     stats: bool,
     mmap: bool,
-    /// Force the prefetching reader for file inputs below the default-on
-    /// threshold (stdin always prefetches; `SMPX_PREFETCH=0` overrides
-    /// everything back to the sync reader).
-    prefetch: bool,
     chunk: usize,
     threads: usize,
     shard_mb: Option<usize>,
@@ -147,7 +129,7 @@ enum LifeOp {
 fn usage() -> ! {
     eprintln!(
         "usage: smpx --dtd SCHEMA.dtd (--paths 'P1,P2,…' | --query XPATH [--query XPATH ...]) \
-         [INPUT.xml | - ...] [-o OUT.xml] [--mmap] [--prefetch] [--chunk-kb N] [--threads N] \
+         [INPUT.xml | - ...] [-o OUT.xml] [--mmap] [--chunk-kb N] [--threads N] \
          [--shard-mb N] [--add-query XPATH] [--remove-query ID] [--stats] \
          [--stats-json PATH|-] [--metrics PATH|-]"
     );
@@ -163,7 +145,6 @@ fn parse_args() -> Args {
         output: None,
         stats: false,
         mmap: false,
-        prefetch: false,
         chunk: DEFAULT_CHUNK,
         threads: 1,
         shard_mb: None,
@@ -182,7 +163,6 @@ fn parse_args() -> Args {
             "--stats-json" => args.stats_json = Some(it.next().unwrap_or_else(|| usage())),
             "--metrics" => args.metrics = Some(it.next().unwrap_or_else(|| usage())),
             "--mmap" => args.mmap = true,
-            "--prefetch" => args.prefetch = true,
             "--chunk-kb" => {
                 let kb: usize = it
                     .next()
@@ -233,10 +213,6 @@ fn parse_args() -> Args {
         eprintln!("smpx: --mmap requires file inputs (stdin cannot be mapped)");
         std::process::exit(2);
     }
-    if args.mmap && args.prefetch {
-        eprintln!("smpx: --mmap and --prefetch are mutually exclusive (mmap does not refill)");
-        std::process::exit(2);
-    }
     if args.inputs.iter().filter(|p| *p == "-").count() > 1 {
         eprintln!("smpx: the stdin operand '-' may appear at most once");
         std::process::exit(2);
@@ -244,39 +220,16 @@ fn parse_args() -> Args {
     args
 }
 
-/// Non-mmap file inputs at least this large prefetch by default: below
-/// it the whole document fits in a window or two and the handoff cannot
-/// hide any latency worth its thread.
-const PREFETCH_MIN_BYTES: u64 = 1 << 20;
-
-/// `SMPX_PREFETCH=0` is the kill switch for the prefetching reader: every
-/// delivery that would prefetch (default-on stdin, large files,
-/// `--prefetch`) falls back to the synchronous [`ReaderSource`]. Output
-/// is byte-identical either way — the switch exists so the sync path
-/// stays reachable in production and CI.
-fn prefetch_allowed() -> bool {
-    std::env::var("SMPX_PREFETCH").map_or(true, |v| v != "0")
-}
-
 /// Open one input through the backend the flags select. The non-seekable
 /// `-` operand always takes a reader backend over stdin — `--mmap` and
 /// slice paths cannot apply to a pipe, so it routes instead of erroring.
 /// At most one input is open per worker at any time (sources open right
-/// before their run), which also bounds the prefetch I/O threads by the
-/// pool width.
+/// before their run).
 fn open_source(path: &str, args: &Args) -> Result<(Box<dyn DocSource + Send>, String), CoreError> {
-    let chunk_kb = args.chunk / 1024;
-    let reader_tag = format!("{}/{}KiB", SourceKind::Reader, chunk_kb);
-    let prefetch_tag = format!("{}/{}KiB", SourceKind::Prefetch, chunk_kb);
+    let reader_tag = format!("{}/{}KiB", SourceKind::Reader, args.chunk / 1024);
     if path == "-" {
         // `Stdin` handles chunked reads itself; workers never share one.
-        // Pipes are exactly where overlapping read latency with scan time
-        // pays, so stdin prefetches unless the kill switch says otherwise.
-        return if prefetch_allowed() {
-            Ok((Box::new(PrefetchSource::new(std::io::stdin(), args.chunk)), prefetch_tag))
-        } else {
-            Ok((Box::new(ReaderSource::new(std::io::stdin(), args.chunk)), reader_tag))
-        };
+        return Ok((Box::new(ReaderSource::new(std::io::stdin(), args.chunk)), reader_tag));
     }
     if args.mmap {
         let m = MmapSource::open(path)?;
@@ -290,13 +243,6 @@ fn open_source(path: &str, args: &Args) -> Result<(Box<dyn DocSource + Send>, St
         Ok((Box::new(m), tag))
     } else {
         let f = std::fs::File::open(path)?;
-        // Default-on above the threshold (regular files only — a FIFO's
-        // metadata length is meaningless, but as a stream it still
-        // benefits, so `--prefetch` covers it explicitly).
-        let big = f.metadata().map(|m| m.is_file() && m.len() >= PREFETCH_MIN_BYTES);
-        if prefetch_allowed() && (args.prefetch || big.unwrap_or(false)) {
-            return Ok((Box::new(PrefetchSource::from_file(f, args.chunk)), prefetch_tag));
-        }
         Ok((Box::new(ReaderSource::new(std::io::BufReader::new(f), args.chunk)), reader_tag))
     }
 }
@@ -722,9 +668,7 @@ fn run(args: Args) -> ExitCode {
 
     let mut results: Vec<(String, String, RunStats, Option<MultiVerdict>)> = Vec::new();
     if args.inputs.is_empty() {
-        // Pure pipe mode: prefilter stdin through the streaming window
-        // (prefetched by default; `SMPX_PREFETCH=0` falls back to the
-        // sync reader — `open_source` owns that policy).
+        // Pure pipe mode: prefilter stdin through the streaming window.
         let (src, tag) = match open_source("-", &args) {
             Ok(s) => s,
             Err(e) => {

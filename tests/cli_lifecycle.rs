@@ -1,5 +1,6 @@
-//! End-to-end CLI coverage for the dynamic lifecycle mode and the
-//! numeric-override regression fixes, driving the real `smpx` binary.
+//! End-to-end CLI coverage for the dynamic lifecycle mode, the
+//! numeric-override regression fixes and the `--stats-json` row
+//! encoding, driving the real `smpx` binary.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -189,4 +190,18 @@ fn lifecycle_mode_works_pooled() {
         String::from_utf8_lossy(&out.stdout),
         "<a><b>one</b></a><a><b>three</b></a><a><c><b>two</b></c></a><a><c><b>four</b></c></a>"
     );
+}
+
+#[test]
+fn stats_json_escapes_control_characters_in_file_names() {
+    let s = Scratch::new("stats-json");
+    let weird = s.path("we\tird.xml");
+    std::fs::write(&weird, "<a><b>one</b></a>").expect("write doc");
+    let rows = s.path("rows.json");
+    let out = smpx(&["--dtd", &s.path("a.dtd"), "--query", "/a/b", "--stats-json", &rows, &weird]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let json = std::fs::read_to_string(&rows).expect("stats rows written");
+    let row = json.lines().find(|l| l.contains("ird.xml")).expect("a row for the input");
+    assert!(row.contains("we\\u0009ird.xml"), "tab not escaped: {row:?}");
+    assert!(!row.bytes().any(|b| b < 0x20), "raw control byte in {row:?}");
 }

@@ -4,7 +4,7 @@
 //! statistics stay in the paper's corridors.
 
 use smpx_baselines::TokenProjector;
-use smpx_core::Prefilter;
+use smpx_core::{CoreError, Prefilter, ReaderSource};
 use smpx_datagen::{medline, protein, xmark, GenOptions};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
@@ -126,6 +126,39 @@ fn prefilter_reuse_across_documents() {
         sizes.push(a.len());
     }
     assert!(sizes.iter().any(|&s| s > 0));
+}
+
+/// A reader that yields `left` bytes of text, then fails with `msg`.
+struct FailAfter {
+    left: usize,
+    msg: &'static str,
+}
+
+impl std::io::Read for FailAfter {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.left == 0 {
+            return Err(std::io::Error::other(self.msg));
+        }
+        let n = self.left.min(buf.len());
+        buf[..n].fill(b'q');
+        self.left -= n;
+        Ok(n)
+    }
+}
+
+/// A read failure in the middle of a streamed document reaches the
+/// caller of `filter_source` as `CoreError::Io`, wording intact.
+#[test]
+fn mid_stream_error_surfaces_through_filter_source() {
+    let dtd = Dtd::parse(b"<!ELEMENT r (#PCDATA)>").unwrap();
+    let paths = PathSet::parse(&["/*"]).unwrap();
+    let mut pf = Prefilter::compile(&dtd, &paths).unwrap();
+    const MSG: &str = "injected mid-stream failure";
+    let err = pf
+        .filter_source(ReaderSource::new(FailAfter { left: 96, msg: MSG }, 32), std::io::sink())
+        .expect_err("the stream fails before it ends");
+    assert!(matches!(err, CoreError::Io(_)), "error kind: {err}");
+    assert_eq!(err.to_string(), format!("I/O error: {MSG}"));
 }
 
 /// The paper's scale claim in miniature: the fraction of inspected

@@ -13,7 +13,8 @@
 //!   byte-equal to the independent single-query run's output,
 //!
 //! across delivery backends {slice, mmap, reader} × threads {0, 1, 4} ×
-//! SIMD/scalar modes, and independent of query registration order. The
+//! SIMD/scalar modes (the reader also across window sizes
+//! {1, 2, 7, 64, 65, 4096}), and independent of query registration order. The
 //! SIMD/scalar toggle (`memscan::force_accel`) is process-global, so the
 //! mode-sweeping tests in this binary serialize on [`mode_lock`].
 
@@ -41,6 +42,9 @@ const QUERIES: &[&str] = &[
 
 const THREADS: &[usize] = &[0, 1, 4];
 const CHUNK: usize = 64;
+/// Reader window sizes: 1/2 (degenerate windows), 7 (odd, straddles
+/// everything), 64/65 (lane ± 1), 4096 (page-ish).
+const CHUNKS: &[usize] = &[1, 2, 7, 64, 65, 4096];
 
 fn mode_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -200,7 +204,19 @@ fn sweep_multi_fixture(fx: &MultiFixture, label: &str) {
         check(&format!("{label}/mmap"), t, got, &seq_mmap);
     }
 
-    // Reader delivery (same chunk on both sides).
+    // Reader delivery at every window size: union bytes and verdicts
+    // equal the slice pass, whatever the refill boundaries.
+    for &chunk in CHUNKS {
+        for (di, d) in fx.docs.iter().enumerate() {
+            let (out, verdict, _) = mpf
+                .run_multi(ReaderSource::new(std::io::Cursor::new(d.clone()), chunk), Vec::new())
+                .expect("sequential reader run");
+            assert_eq!(out, seq[di].0, "{label}/reader chunk {chunk} doc {di}: union bytes");
+            assert_eq!(verdict, seq[di].1, "{label}/reader chunk {chunk} doc {di}: verdict");
+        }
+    }
+
+    // Pooled reader delivery (same chunk on both sides).
     let seq_reader: Vec<(Vec<u8>, MultiVerdict, RunStats)> = fx
         .docs
         .iter()

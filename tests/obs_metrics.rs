@@ -13,7 +13,7 @@ use std::io::Read;
 use std::time::Duration;
 
 use smpx_core::obs::{self, CounterId, GaugeId, MetricsRegistry, Snapshot};
-use smpx_core::{Pool, PrefetchSource, Prefilter, SharedPrefilter, SliceSource};
+use smpx_core::{Pool, Prefilter, ReaderSource, SharedPrefilter, SliceSource};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
 
@@ -67,8 +67,8 @@ fn pool_counters_populate() {
     assert!(obs::global().gauge(GaugeId::PoolWorkers) >= 2);
 }
 
-/// A reader that trickles: every chunk costs a sleep, so the consumer
-/// demonstrably waits on the producer.
+/// A reader that trickles: every read costs a sleep, so the scan thread
+/// demonstrably blocks on its refills.
 struct SlowReader {
     doc: Vec<u8>,
     pos: usize,
@@ -84,26 +84,27 @@ impl Read for SlowReader {
     }
 }
 
+/// The streaming reader's two series: read time lands in the io-wait
+/// stage and every delivered byte in the bytes-read counter. No other
+/// test in this binary streams through `ReaderSource`, so the bytes
+/// delta is exact.
 #[test]
-fn prefetch_wait_time_populates() {
+fn reader_wait_time_populates() {
     obs::enable();
-    let chunks0 = counter("smpx_prefetch_chunks_total");
-    let wait0 = counter("smpx_prefetch_consumer_wait_seconds_total")
-        + counter("smpx_prefetch_producer_stall_seconds_total");
+    let read0 = counter("smpx_source_read_bytes_total");
+    let wait0 = counter("smpx_stage_io_wait_seconds_total");
 
     let mut doc = b"<a>".to_vec();
     for j in 0..64 {
         doc.extend_from_slice(format!("<c><b>x{j}</b></c><b>keep-{j}</b>").as_bytes());
     }
     doc.extend_from_slice(b"</a>");
-    let src = PrefetchSource::new(SlowReader { doc, pos: 0 }, 128);
+    let len = doc.len() as u64;
+    let src = ReaderSource::new(SlowReader { doc, pos: 0 }, 128);
     pf().filter_source(src, std::io::sink()).unwrap();
 
-    assert!(counter("smpx_prefetch_chunks_total") > chunks0, "chunks must count");
-    assert!(counter("smpx_prefetch_bytes_total") > 0, "delivered bytes must count");
-    let waited = counter("smpx_prefetch_consumer_wait_seconds_total")
-        + counter("smpx_prefetch_producer_stall_seconds_total");
-    assert!(waited > wait0, "a trickling producer must make the consumer wait");
+    assert!(counter("smpx_stage_io_wait_seconds_total") > wait0, "a trickling reader must block");
+    assert_eq!(counter("smpx_source_read_bytes_total") - read0, len, "every byte counts once");
 }
 
 #[test]

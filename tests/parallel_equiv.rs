@@ -1,6 +1,6 @@
 //! Parallel ≡ sequential equivalence suite for the work-stealing batch
 //! executor: `run_batch_parallel` against the sequential `run_batch` /
-//! per-document reference across thread counts {1, 2, 8} (plus 0 = the
+//! per-document reference across thread counts {1, 2, 4, 8} (plus 0 = the
 //! machine's parallelism) × delivery backends {slice, mmap, reader} ×
 //! SIMD/scalar modes.
 //!
@@ -33,7 +33,7 @@ use smpx_paths::PathSet;
 use smpx_stringmatch::memscan;
 use std::sync::{Mutex, OnceLock};
 
-const THREADS: &[usize] = &[0, 1, 2, 8];
+const THREADS: &[usize] = &[0, 1, 2, 4, 8];
 const CHUNK: usize = 64;
 const BATCH: usize = 9;
 
